@@ -79,6 +79,9 @@ type Index struct {
 }
 
 // Build trains the coarse quantizer and PQ codebooks and encodes the corpus.
+// Coarse training, assignment, PQ training (one subspace per worker) and
+// encoding all run across cfg.Workers goroutines; the index does not depend
+// on Workers, byte for byte.
 func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	cfg.defaults()
 	if base.N == 0 {
@@ -153,6 +156,9 @@ func Build(base dataset.U8Set, cfg BuildConfig) (*Index, error) {
 	pcfg := cfg.PQ
 	if pcfg.Seed == 0 {
 		pcfg.Seed = cfg.Seed + 1000
+	}
+	if pcfg.Workers == 0 {
+		pcfg.Workers = cfg.Workers
 	}
 	switch cfg.Variant {
 	case "pq":

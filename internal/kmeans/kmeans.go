@@ -1,7 +1,14 @@
 // Package kmeans provides the clustering used to train both the IVF coarse
 // quantizer and the per-subspace PQ codebooks: k-means++ seeding followed by
-// Lloyd iterations with parallel assignment, optional mini-batch updates for
-// large corpora, and empty-cluster repair.
+// Lloyd iterations, optional mini-batch updates for large corpora, and
+// empty-cluster repair.
+//
+// The seeding's distance updates and every assignment pass run across
+// Config.Workers goroutines. The result does not depend on Workers: each
+// point's distances are computed the same way whichever goroutine runs them
+// (vecmath's kernels keep one summation order), and everything that sums or
+// draws across points — the D² total and pick, the centroid means, the
+// inertia — runs serially in point order.
 package kmeans
 
 import (
@@ -27,7 +34,8 @@ type Config struct {
 	// Tol stops early when the relative inertia improvement falls below it;
 	// default 1e-4.
 	Tol float64
-	// Workers bounds assignment parallelism; default runtime.GOMAXPROCS(0).
+	// Workers bounds seeding and assignment parallelism; default
+	// runtime.GOMAXPROCS(0). It does not change the result.
 	Workers int
 }
 
@@ -110,20 +118,28 @@ func Train(data []float32, cfg Config) (*Result, error) {
 	}, nil
 }
 
-// seedPlusPlus picks initial centroids with the k-means++ D² weighting.
+// seedPlusPlus picks initial centroids with the k-means++ D² weighting. The
+// per-point D² updates run across cfg.Workers; the running total and the
+// weighted pick stay serial, in point order, so the seeds do not depend on
+// Workers.
 func seedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
-	centroids := make([]float32, cfg.K*cfg.Dim)
+	dim := cfg.Dim
+	centroids := make([]float32, cfg.K*dim)
 	first := rng.Intn(n)
-	copy(centroids[:cfg.Dim], data[first*cfg.Dim:(first+1)*cfg.Dim])
+	copy(centroids[:dim], data[first*dim:(first+1)*dim])
 
-	d2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d2[i] = float64(vecmath.L2SquaredF32(data[i*cfg.Dim:(i+1)*cfg.Dim], centroids[:cfg.Dim]))
-	}
+	// d2 holds each point's float32 distance to its nearest seed; the
+	// weights are those distances widened to float64.
+	d2 := make([]float32, n)
+	parallelRange(n, cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			d2[i] = vecmath.L2SquaredF32(data[i*dim:(i+1)*dim], centroids[:dim])
+		}
+	})
 	for c := 1; c < cfg.K; c++ {
 		var total float64
 		for _, d := range d2 {
-			total += d
+			total += float64(d)
 		}
 		var pick int
 		if total <= 0 {
@@ -133,23 +149,44 @@ func seedPlusPlus(data []float32, n int, cfg Config, rng *rand.Rand) []float32 {
 			acc := 0.0
 			pick = n - 1
 			for i, d := range d2 {
-				acc += d
+				acc += float64(d)
 				if acc >= r {
 					pick = i
 					break
 				}
 			}
 		}
-		dst := centroids[c*cfg.Dim : (c+1)*cfg.Dim]
-		copy(dst, data[pick*cfg.Dim:(pick+1)*cfg.Dim])
-		for i := 0; i < n; i++ {
-			d := float64(vecmath.L2SquaredF32(data[i*cfg.Dim:(i+1)*cfg.Dim], dst))
-			if d < d2[i] {
-				d2[i] = d
-			}
-		}
+		dst := centroids[c*dim : (c+1)*dim]
+		copy(dst, data[pick*dim:(pick+1)*dim])
+		parallelRange(n, cfg.Workers, func(lo, hi int) {
+			vecmath.MinL2F32(d2[lo:hi], data[lo*dim:hi*dim], dst)
+		})
 	}
 	return centroids
+}
+
+// parallelRange splits [0, n) into at most workers contiguous chunks and
+// runs fn on each, concurrently when there is more than one. It returns
+// when every chunk is done.
+func parallelRange(n, workers int, fn func(lo, hi int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		fn(0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(lo, hi)
+		}()
+	}
+	wg.Wait()
 }
 
 // sampleIdx returns a mini-batch index set, or nil for a full pass.
@@ -166,51 +203,33 @@ func sampleIdx(n, batch int, rng *rand.Rand) []int32 {
 
 // assignAll assigns points (all, or just the sample) to nearest centroids in
 // parallel and returns the summed squared distance over the points visited.
+// Results are written back and summed serially in visiting order, so the
+// sum does not depend on Workers and a point sampled twice is never written
+// concurrently.
 func assignAll(data, centroids []float32, assign []int32, sample []int32, cfg Config) float64 {
-	n := len(assign)
-	indexAt := func(i int) int {
+	count := len(assign)
+	if sample != nil {
+		count = len(sample)
+	}
+	point := func(i int) int {
 		if sample == nil {
 			return i
 		}
 		return int(sample[i])
 	}
-	count := n
-	if sample != nil {
-		count = len(sample)
-	}
-
-	workers := cfg.Workers
-	if workers > count {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	partial := make([]float64, workers)
-	chunk := (count + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > count {
-			hi = count
+	nearest := make([]int32, count)
+	dist := make([]float32, count)
+	parallelRange(count, cfg.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := point(i)
+			best, d := vecmath.ArgMinL2F32(data[p*cfg.Dim:(p+1)*cfg.Dim], centroids, cfg.Dim)
+			nearest[i], dist[i] = int32(best), d
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var acc float64
-			for i := lo; i < hi; i++ {
-				p := indexAt(i)
-				best, d := vecmath.ArgMinL2F32(data[p*cfg.Dim:(p+1)*cfg.Dim], centroids, cfg.Dim)
-				assign[p] = int32(best)
-				acc += float64(d)
-			}
-			partial[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	})
 	var inertia float64
-	for _, p := range partial {
-		inertia += p
+	for i, d := range dist {
+		assign[point(i)] = nearest[i]
+		inertia += float64(d)
 	}
 	return inertia
 }

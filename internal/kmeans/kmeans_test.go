@@ -213,3 +213,42 @@ func TestInertiaDecreasesVsRandomCentroids(t *testing.T) {
 		t.Fatalf("trained inertia %v not better than naive %v", res.Inertia, randInertia)
 	}
 }
+
+// TestTrainIndependentOfWorkers: seeding, assignment and inertia give the
+// same bits at every worker count, on both the short-row and the long-row
+// distance kernels and with mini-batches that sample a point twice.
+func TestTrainIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, dim := range []int{8, 40} {
+		data, _ := blobs(rng, 6, 150, dim, 3)
+		for _, batch := range []int{0, 400} {
+			cfg := Config{K: 13, Dim: dim, MaxIters: 5, Seed: 6, MiniBatch: batch, Workers: 1}
+			want, err := Train(data, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3, 5} {
+				cfg.Workers = workers
+				got, err := Train(data, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got.Inertia) != math.Float64bits(want.Inertia) || got.Iters != want.Iters {
+					t.Fatalf("dim=%d batch=%d workers=%d: inertia %v iters %d, want %v %d",
+						dim, batch, workers, got.Inertia, got.Iters, want.Inertia, want.Iters)
+				}
+				for i := range want.Centroids {
+					if math.Float32bits(got.Centroids[i]) != math.Float32bits(want.Centroids[i]) {
+						t.Fatalf("dim=%d batch=%d workers=%d: centroid element %d differs", dim, batch, workers, i)
+					}
+				}
+				for i := range want.Assign {
+					if got.Assign[i] != want.Assign[i] {
+						t.Fatalf("dim=%d batch=%d workers=%d: point %d assigned %d, want %d",
+							dim, batch, workers, i, got.Assign[i], want.Assign[i])
+					}
+				}
+			}
+		}
+	}
+}

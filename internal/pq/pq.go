@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"drimann/internal/kmeans"
 	"drimann/internal/sqt"
@@ -29,7 +31,9 @@ type Config struct {
 	// TrainSample caps the number of vectors used for training; 0 = all.
 	TrainSample int
 	Seed        int64
-	Workers     int
+	// Workers bounds how many subspaces train at once; default
+	// runtime.GOMAXPROCS(0). It does not change the codebooks.
+	Workers int
 }
 
 // Quantizer is a trained product quantizer over D-dimensional float vectors.
@@ -77,19 +81,42 @@ func Train(data []float32, dim int, cfg Config) (*Quantizer, error) {
 	q := &Quantizer{D: dim, M: cfg.M, CB: cfg.CB, DSub: dsub,
 		Codebooks: make([]float32, cfg.M*cfg.CB*dsub)}
 
-	sub := make([]float32, n*dsub)
-	for m := 0; m < cfg.M; m++ {
-		for i := 0; i < n; i++ {
-			copy(sub[i*dsub:(i+1)*dsub], sample[i*dim+m*dsub:i*dim+(m+1)*dsub])
-		}
-		res, err := kmeans.Train(sub, kmeans.Config{
-			K: cfg.CB, Dim: dsub, MaxIters: cfg.Iters,
-			Seed: cfg.Seed + int64(m), Workers: cfg.Workers,
-		})
+	// The subspaces are independent k-means problems with their own seeds,
+	// so they train concurrently, one per worker, and the codebooks do not
+	// depend on Workers.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, cfg.M)
+	errs := make([]error, cfg.M)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sub := make([]float32, n*dsub)
+			for m := w; m < cfg.M; m += workers {
+				for i := 0; i < n; i++ {
+					copy(sub[i*dsub:(i+1)*dsub], sample[i*dim+m*dsub:i*dim+(m+1)*dsub])
+				}
+				res, err := kmeans.Train(sub, kmeans.Config{
+					K: cfg.CB, Dim: dsub, MaxIters: cfg.Iters,
+					Seed: cfg.Seed + int64(m), Workers: 1,
+				})
+				if err != nil {
+					errs[m] = fmt.Errorf("pq: subspace %d: %w", m, err)
+					return
+				}
+				copy(q.Codebooks[m*cfg.CB*dsub:(m+1)*cfg.CB*dsub], res.Centroids)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("pq: subspace %d: %w", m, err)
+			return nil, err
 		}
-		copy(q.Codebooks[m*cfg.CB*dsub:(m+1)*cfg.CB*dsub], res.Centroids)
 	}
 	return q, nil
 }

@@ -38,6 +38,28 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// TestTrainIndependentOfWorkers: subspaces train concurrently, each on its
+// own seed, so the codebooks are the same bits at every worker count,
+// including counts that do not divide M.
+func TestTrainIndependentOfWorkers(t *testing.T) {
+	data := corpus(rand.New(rand.NewSource(8)), 400, 24)
+	want, err := Train(data, 24, Config{M: 6, CB: 32, Iters: 3, Seed: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4, 6, 9} {
+		got, err := Train(data, 24, Config{M: 6, CB: 32, Iters: 3, Seed: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Codebooks {
+			if math.Float32bits(got.Codebooks[i]) != math.Float32bits(want.Codebooks[i]) {
+				t.Fatalf("workers=%d: codebook element %d differs", workers, i)
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeShrinksError(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := corpus(rng, 512, 16)

@@ -151,3 +151,44 @@ func BenchmarkArgMinL2F32(b *testing.B) {
 		ArgMinL2F32(query, centroids, dim)
 	}
 }
+
+// argMinFixture draws k clustered rows and queries near random rows, so the
+// nearest row is found early but not at distance zero — the shape of a
+// trained k-means assignment.
+func argMinFixture(k, dim, nq int) (centroids, queries []float32) {
+	rng := rand.New(rand.NewSource(3))
+	centroids = make([]float32, k*dim)
+	for i := range centroids {
+		centroids[i] = float32(rng.NormFloat64() * 30)
+	}
+	queries = make([]float32, nq*dim)
+	for q := 0; q < nq; q++ {
+		row := rng.Intn(k)
+		for j := 0; j < dim; j++ {
+			queries[q*dim+j] = centroids[row*dim+j] + float32(rng.NormFloat64()*20)
+		}
+	}
+	return centroids, queries
+}
+
+var argMinSink int
+
+func benchArgMin(b *testing.B, k, dim int) {
+	const nq = 64
+	centroids, queries := argMinFixture(k, dim, nq)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := i % nq
+		argMinSink, _ = ArgMinL2F32(queries[q*dim:(q+1)*dim], centroids, dim)
+	}
+}
+
+// BenchmarkArgMinL2F32Dim128K256 is the coarse-quantizer assignment shape
+// (NList 256 over 128-dimensional vectors).
+func BenchmarkArgMinL2F32Dim128K256(b *testing.B) { benchArgMin(b, 256, 128) }
+
+// BenchmarkArgMinL2F32Dim8K256 is the PQ encode shape (CB 256, dsub 8).
+func BenchmarkArgMinL2F32Dim8K256(b *testing.B) { benchArgMin(b, 256, 8) }
+
+// BenchmarkArgMinL2F32Dim4K256 exercises the generic short-row kernel.
+func BenchmarkArgMinL2F32Dim4K256(b *testing.B) { benchArgMin(b, 256, 4) }

@@ -117,21 +117,208 @@ func SubF32(dst, a, b []float32) {
 	}
 }
 
+// L2SquaredF32Below reports whether L2SquaredF32(a, b) < bound, returning
+// the distance when it is. The sum runs in L2SquaredF32's order; every 16
+// elements the scan is abandoned once the partial sum reaches bound. Each
+// rounded term d*d is non-negative, so partial sums never decrease and a
+// partial sum >= bound proves the full distance is too: the decision is
+// exactly the full evaluation's. When it returns false the distance is not
+// meaningful.
+func L2SquaredF32Below(a, b []float32, bound float32) (float32, bool) {
+	b = b[:len(a)]
+	var sum float32
+	i := 0
+	for ; i+16 <= len(a); i += 16 {
+		x, y := a[i:i+16], b[i:i+16]
+		for j, xv := range x {
+			d := xv - y[j]
+			sum += d * d
+		}
+		if sum >= bound {
+			return sum, false
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		sum += d * d
+	}
+	return sum, sum < bound
+}
+
+// MinL2F32 lowers each best[i] to the squared L2 distance between row i of
+// the flat matrix rows (len(best) rows of len(c)) and c, when that distance
+// is smaller: the k-means++ D² update. Each distance is L2SquaredF32's, in
+// its summation order, so the result is bit-identical to the plain loop.
+// Long rows are abandoned at best[i] (L2SquaredF32Below); short rows are
+// evaluated four at a time on separate accumulator chains.
+func MinL2F32(best, rows, c []float32) {
+	dim := len(c)
+	rows = rows[:len(best)*dim]
+	if dim >= 32 {
+		for i, b := range best {
+			if d, ok := L2SquaredF32Below(rows[i*dim:(i+1)*dim], c, b); ok {
+				best[i] = d
+			}
+		}
+		return
+	}
+	i := 0
+	for ; i+4 <= len(best); i += 4 {
+		block := rows[i*dim : (i+4)*dim]
+		r0, r1 := block[:dim], block[dim:2*dim]
+		r2, r3 := block[2*dim:3*dim], block[3*dim:4*dim]
+		r0, r1, r2, r3 = r0[:len(c)], r1[:len(c)], r2[:len(c)], r3[:len(c)]
+		var s0, s1, s2, s3 float32
+		for j, x := range c {
+			d0, d1, d2, d3 := r0[j]-x, r1[j]-x, r2[j]-x, r3[j]-x
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		b := best[i : i+4]
+		if s0 < b[0] {
+			b[0] = s0
+		}
+		if s1 < b[1] {
+			b[1] = s1
+		}
+		if s2 < b[2] {
+			b[2] = s2
+		}
+		if s3 < b[3] {
+			b[3] = s3
+		}
+	}
+	for ; i < len(best); i++ {
+		if d := L2SquaredF32(rows[i*dim:(i+1)*dim], c); d < best[i] {
+			best[i] = d
+		}
+	}
+}
+
 // ArgMinL2F32 scans the flat centroid matrix (k rows of length dim) and
 // returns the row index with the smallest squared L2 distance to query, along
 // with that distance. It panics if centroids is not a multiple of dim or is
 // empty.
+//
+// The answer is bit-identical to evaluating L2SquaredF32 on every row and
+// keeping the first strict minimum: every distance keeps L2SquaredF32's
+// summation order and rows are compared in index order. Rows are evaluated
+// four at a time, each on its own accumulator chain, so the additions
+// overlap instead of serializing, and on long rows a group is abandoned as
+// soon as its partial sums reach the best distance so far (exact for the
+// reason given at L2SquaredF32Below).
 func ArgMinL2F32(query, centroids []float32, dim int) (int, float32) {
 	k := len(centroids) / dim
-	if k == 0 || len(centroids)%dim != 0 {
-		panic(fmt.Sprintf("vecmath: bad centroid matrix len=%d dim=%d", len(centroids), dim))
+	if k == 0 || len(centroids)%dim != 0 || len(query) != dim {
+		panic(fmt.Sprintf("vecmath: bad centroid matrix len=%d dim=%d query=%d", len(centroids), dim, len(query)))
 	}
+	if dim == 8 {
+		return argMinL2F32Dim8(query, centroids, k)
+	}
+	return argMinL2F32Rows4(query, centroids, dim, k)
+}
+
+// argMinL2F32Rows4 is ArgMinL2F32's general kernel: four rows per step, one
+// sequential accumulator each. Every 16 elements the four rows are abandoned
+// together once all four partial sums reach the best distance so far.
+func argMinL2F32Rows4(query, centroids []float32, dim, k int) (int, float32) {
 	best, bestDist := 0, float32(math.MaxFloat32)
-	for i := 0; i < k; i++ {
-		d := L2SquaredF32(query, centroids[i*dim:(i+1)*dim])
-		if d < bestDist {
+	i := 0
+rows:
+	for ; i+4 <= k; i += 4 {
+		rows := centroids[i*dim : (i+4)*dim]
+		r0, r1 := rows[:dim], rows[dim:2*dim]
+		r2, r3 := rows[2*dim:3*dim], rows[3*dim:4*dim]
+		r0, r1, r2, r3 = r0[:len(query)], r1[:len(query)], r2[:len(query)], r3[:len(query)]
+		var s0, s1, s2, s3 float32
+		j := 0
+		for ; j+16 <= len(query); j += 16 {
+			q := query[j : j+16]
+			a0, a1, a2, a3 := r0[j:j+16], r1[j:j+16], r2[j:j+16], r3[j:j+16]
+			for t, qv := range q {
+				d0, d1, d2, d3 := a0[t]-qv, a1[t]-qv, a2[t]-qv, a3[t]-qv
+				s0 += d0 * d0
+				s1 += d1 * d1
+				s2 += d2 * d2
+				s3 += d3 * d3
+			}
+			if s0 >= bestDist && s1 >= bestDist && s2 >= bestDist && s3 >= bestDist {
+				continue rows
+			}
+		}
+		for ; j < len(query); j++ {
+			qv := query[j]
+			d0, d1, d2, d3 := r0[j]-qv, r1[j]-qv, r2[j]-qv, r3[j]-qv
+			s0 += d0 * d0
+			s1 += d1 * d1
+			s2 += d2 * d2
+			s3 += d3 * d3
+		}
+		best, bestDist = keepMin4(best, bestDist, i, s0, s1, s2, s3)
+	}
+	for ; i < k; i++ {
+		if d, ok := L2SquaredF32Below(query, centroids[i*dim:(i+1)*dim], bestDist); ok {
 			best, bestDist = i, d
 		}
+	}
+	return best, bestDist
+}
+
+// argMinL2F32Dim8 is argMinL2F32Rows4 fully unrolled for dim = 8, the PQ
+// subspace width of a 128-dimensional corpus split into 16 subspaces.
+func argMinL2F32Dim8(query, centroids []float32, k int) (int, float32) {
+	q := query[:8]
+	q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
+	dist := func(r []float32) float32 {
+		r = r[:8]
+		d := r[0] - q0
+		s := d * d
+		d = r[1] - q1
+		s += d * d
+		d = r[2] - q2
+		s += d * d
+		d = r[3] - q3
+		s += d * d
+		d = r[4] - q4
+		s += d * d
+		d = r[5] - q5
+		s += d * d
+		d = r[6] - q6
+		s += d * d
+		d = r[7] - q7
+		return s + d*d
+	}
+	best, bestDist := 0, float32(math.MaxFloat32)
+	i := 0
+	for ; i+4 <= k; i += 4 {
+		rows := centroids[i*8 : i*8+32]
+		s0, s1, s2, s3 := dist(rows[0:8]), dist(rows[8:16]), dist(rows[16:24]), dist(rows[24:32])
+		best, bestDist = keepMin4(best, bestDist, i, s0, s1, s2, s3)
+	}
+	for ; i < k; i++ {
+		if d := dist(centroids[i*8 : i*8+8]); d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	return best, bestDist
+}
+
+// keepMin4 folds the distances of rows i..i+3 into the running minimum in
+// row order, so ties keep the lowest index.
+func keepMin4(best int, bestDist float32, i int, s0, s1, s2, s3 float32) (int, float32) {
+	if s0 < bestDist {
+		best, bestDist = i, s0
+	}
+	if s1 < bestDist {
+		best, bestDist = i+1, s1
+	}
+	if s2 < bestDist {
+		best, bestDist = i+2, s2
+	}
+	if s3 < bestDist {
+		best, bestDist = i+3, s3
 	}
 	return best, bestDist
 }

@@ -132,6 +132,148 @@ func TestArgMinPanicsOnBadShape(t *testing.T) {
 	ArgMinL2F32([]float32{1, 2}, []float32{1, 2, 3}, 2)
 }
 
+// naiveArgMinL2F32 is the reference ArgMinL2F32: one full sequential
+// distance per row, first strict minimum wins.
+func naiveArgMinL2F32(query, centroids []float32, dim int) (int, float32) {
+	best, bestDist := 0, float32(math.MaxFloat32)
+	for i := 0; i < len(centroids)/dim; i++ {
+		var d float32
+		for j, q := range query {
+			x := q - centroids[i*dim+j]
+			d += x * x
+		}
+		if d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	return best, bestDist
+}
+
+// TestArgMinL2F32MatchesNaive covers every kernel path (four-row groups
+// with and without 16-element abandon checks, the unrolled dim-8 rows, the
+// leftover rows) over dims 1-130 and row counts that are and are not
+// multiples of four. Duplicated rows and a
+// query sitting on a row force exact ties, which must resolve to the first
+// index with a bit-identical distance.
+func TestArgMinL2F32MatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for dim := 1; dim <= 130; dim++ {
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 67} {
+			centroids := make([]float32, k*dim)
+			for i := range centroids {
+				centroids[i] = float32(rng.NormFloat64() * 40)
+			}
+			// Duplicate a few rows later in the matrix.
+			for r := 0; r < k/3; r++ {
+				src, dst := rng.Intn(k), rng.Intn(k)
+				copy(centroids[dst*dim:(dst+1)*dim], centroids[src*dim:(src+1)*dim])
+			}
+			query := make([]float32, dim)
+			for trial := 0; trial < 4; trial++ {
+				switch trial {
+				case 0: // exactly on a (possibly duplicated) row
+					copy(query, centroids[rng.Intn(k)*dim:])
+				case 1: // near a row
+					row := rng.Intn(k)
+					for j := range query {
+						query[j] = centroids[row*dim+j] + float32(rng.NormFloat64())
+					}
+				default:
+					for j := range query {
+						query[j] = float32(rng.NormFloat64() * 40)
+					}
+				}
+				wantI, wantD := naiveArgMinL2F32(query, centroids, dim)
+				gotI, gotD := ArgMinL2F32(query, centroids, dim)
+				if gotI != wantI || math.Float32bits(gotD) != math.Float32bits(wantD) {
+					t.Fatalf("dim=%d k=%d trial=%d: got (%d, %v), want (%d, %v)",
+						dim, k, trial, gotI, gotD, wantI, wantD)
+				}
+			}
+		}
+	}
+}
+
+// TestMinL2F32MatchesNaive: the D² update lowers exactly the entries whose
+// full sequential distance is strictly smaller, to that distance's bits,
+// including entries whose current value equals the new distance.
+func TestMinL2F32MatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for dim := 1; dim <= 130; dim++ {
+		n := 1 + rng.Intn(23)
+		rows := make([]float32, n*dim)
+		for i := range rows {
+			rows[i] = float32(rng.NormFloat64() * 40)
+		}
+		c := make([]float32, dim)
+		copy(c, rows[rng.Intn(n)*dim:])
+		c[0] += 1
+		best := make([]float32, n)
+		want := make([]float32, n)
+		for i := range best {
+			full := L2SquaredF32(rows[i*dim:(i+1)*dim], c)
+			switch rng.Intn(3) {
+			case 0:
+				best[i] = full // equal: must stay
+			case 1:
+				best[i] = full * float32(rng.Float64())
+			default:
+				best[i] = full * float32(1+rng.Float64())
+			}
+			want[i] = best[i]
+			if full < want[i] {
+				want[i] = full
+			}
+		}
+		MinL2F32(best, rows, c)
+		for i := range best {
+			if math.Float32bits(best[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("dim=%d n=%d row %d: got %v, want %v", dim, n, i, best[i], want[i])
+			}
+		}
+	}
+}
+
+// TestL2SquaredF32BelowBound pins the comparison at the bound: a distance
+// equal to the bound is rejected and the next float below it is accepted,
+// both when the scan completes and when it stops on a 16-element block.
+func TestL2SquaredF32BelowBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 7, 15, 16, 17, 32, 33, 128, 130} {
+		a := make([]float32, n)
+		b := make([]float32, n)
+		for i := range a {
+			a[i] = float32(rng.NormFloat64() * 10)
+			b[i] = float32(rng.NormFloat64() * 10)
+		}
+		full := L2SquaredF32(a, b)
+		if d, ok := L2SquaredF32Below(a, b, full); ok {
+			t.Fatalf("n=%d: distance %v accepted at an equal bound (returned %v)", n, full, d)
+		}
+		if d, ok := L2SquaredF32Below(a, b, math.Nextafter32(full, float32(math.Inf(1)))); !ok || d != full {
+			t.Fatalf("n=%d: distance %v rejected just below the bound (returned %v, %v)", n, full, d, ok)
+		}
+		// A bound equal to a whole block's partial sum stops the scan there.
+		if n >= 32 {
+			var part float32
+			for i := 0; i < 16; i++ {
+				d := a[i] - b[i]
+				part += d * d
+			}
+			if d, ok := L2SquaredF32Below(a, b, part); ok || d != part {
+				t.Fatalf("n=%d: bound at the first block's sum %v: got (%v, %v), want abandoned there", n, part, d, ok)
+			}
+		}
+		for trial := 0; trial < 50; trial++ {
+			bound := float32(rng.Float64()) * 2 * full
+			d, ok := L2SquaredF32Below(a, b, bound)
+			if ok != (full < bound) || (ok && d != full) {
+				t.Fatalf("n=%d bound=%v: got (%v, %v), full %v", n, bound, d, ok, full)
+			}
+		}
+	}
+}
+
 func TestQuantizerRoundTripGrid(t *testing.T) {
 	q := Quantizer{Scale: 0.5, Bias: -10}
 	for c := 0; c < 256; c++ {
